@@ -2,12 +2,16 @@
 
 Set-up generates ``INSTANCES`` graphs of each regime (the same for every
 seed), samples 100 target nodes per graph from the seed (as in Fig. 7)
-and runs one small warm-up summary.  The measured loop summarizes every graph once per
-round, alternating sparse and dense, until ``--seconds`` have passed
-(whole rounds only).  Every summary is checked against Eq. 3 and for a
-valid node partition; afterwards the program's summary-side RWR answers
-for sampled targets are checked against the reference kit on the
-summary and scored against converged exact RWR on the input graph.
+and runs one small warm-up summary.  The measured loop summarizes one
+sparse and one dense graph per round, cycling through the instances,
+until ``--seconds`` have passed (whole rounds only).  Right after each
+summary it answers RWR queries on it for the graph's first ``QUERIES``
+targets, one ``rwr_scores`` call each: the latency a user of the summary
+sees.  Every summary is checked against Eq. 3 and for a valid node
+partition, and every answer for the properties of RWR; the answers for
+the first graphs' first targets are also checked against the reference
+kit on the summary and scored against converged exact RWR on the input
+graph.  Peak RSS is read before any of the kit's work.
 """
 
 from __future__ import annotations
@@ -18,22 +22,24 @@ import time
 
 import numpy as np
 
-import refkit
 from calltrace import CallTracer
 from common import SETUP_REPEATS, Run, peak_rss_mb, percentile, timed_setups
 
 #: (dataset stand-in, scale) per regime: about 18k edges each, average
 #: degree about 9 (sparse) and about 40 (dense).
 REGIMES = (("sparse", "lastfm_asia", 3.5), ("dense", "synthetic_dense", 0.45))
-#: Graphs per regime; the measured loop cycles through them pair by pair.
-#: Graph ``i`` is the stand-in built with seed ``i`` for every run seed,
-#: which draws the targets and summary seeds: graphs drawn per run seed
-#: made per-run throughput depend on which graphs a run got.
-INSTANCES = 8
+#: Graphs per regime: about as many sparse+dense rounds as a 25 s run
+#: completes; a longer run cycles through them again.  Graph ``i`` is the
+#: stand-in built with seed ``i`` for every run seed, which draws the
+#: targets and summary seeds: graphs drawn per run seed made per-run
+#: throughput depend on which graphs a run got.
+INSTANCES = 5
 TARGETS = 100
 RATIO = 0.5
-#: The first pairs' summaries are the ones whose RWR answers are scored,
-#: for this many targets each.
+#: Timed RWR queries on each summary (its graph's first targets).
+QUERIES = 40
+#: The answers of the first graphs of each regime, for their first
+#: targets, are checked against the kit and scored for ``rwr_smape``.
 SMAPE_PAIRS = 2
 SMAPE_TARGETS = 8
 WARMUP = ("lastfm_asia", 0.2)
@@ -106,16 +112,16 @@ def run(run: Run) -> None:
     context = _install_core_tracing(tracer) if tracer else None
     call = tracer.wrap("core.summarize", summarize) if tracer else summarize
     per_regime = {regime: {"edges": 0, "seconds": 0.0, "calls": 0, "merges": 0,
-                           "iterations": 0, "pairs": 0, "init": 0.0, "sparsify": 0.0}
+                           "iterations": 0, "pairs": 0, "init": 0.0, "sparsify": 0.0,
+                           "latency": []}
                   for regime, _, _ in REGIMES}
-    pair_latencies = []
-    last = {}
+    sizes = []  # what the Eq. 3 check needs, checked once the loop is over
+    scored = {}  # (regime, index) -> (summary, {target: answer})
     measured = 0.0
     pair = 0
     while measured < run.seconds:
         start = (pair % INSTANCES) * len(REGIMES)
         pair += 1
-        pair_s = 0.0
         for regime, index, graph, targets, summary_seed in inputs[start:start + len(REGIMES)]:
             run.attempt("summaries")
             if tracer:
@@ -132,7 +138,7 @@ def run(run: Run) -> None:
                 continue
             ended = time.perf_counter()
             elapsed = ended - started
-            pair_s += elapsed
+            measured += elapsed
             book = per_regime[regime]
             book["edges"] += graph.num_edges
             book["seconds"] += elapsed
@@ -145,43 +151,77 @@ def run(run: Run) -> None:
                 book["init"] += first - started - weights
                 book["sparsify"] += ended - (context["last_iteration"] or first)
                 book["pairs"] += context["pairs"]
-            _check_summary(run, regime, index, graph, result)
-            if index < SMAPE_PAIRS:  # keep only the scored summaries alive
-                last[(regime, index)] = result
-        pair_latencies.append(pair_s)
-        measured += pair_s
+            sizes.append(_check_summary(run, f"{regime}#{index}", graph, result.summary))
+            keep = None
+            if index < SMAPE_PAIRS and (regime, index) not in scored:
+                keep = {}
+                scored[(regime, index)] = (result.summary, keep)
+            measured += _query(run, rwr_scores, result.summary, targets[:QUERIES],
+                               book["latency"], keep)
     if tracer:
         tracer.restore()
         tracer.prefix = ""
+    # Read before the checks below, which import the kit and factor
+    # matrices in this process.
+    rss = peak_rss_mb()
 
     for regime, index, graph, targets, summary_seed in inputs[:SMAPE_PAIRS * len(REGIMES)]:
-        if (regime, index) not in last:  # a run too short to reach them
-            last[(regime, index)] = summarize(graph, targets=targets, compression_ratio=RATIO,
-                                              config=PegasusConfig(seed=summary_seed))
-    smape = _check_queries(run, inputs[:SMAPE_PAIRS * len(REGIMES)], last, rwr_scores)
+        if (regime, index) not in scored:  # a run too short to reach them
+            summary = summarize(graph, targets=targets, compression_ratio=RATIO,
+                                config=PegasusConfig(seed=summary_seed)).summary
+            keep = {}
+            scored[(regime, index)] = (summary, keep)
+            _query(run, rwr_scores, summary, targets[:SMAPE_TARGETS], [], keep)
+    _check_sizes(run, sizes)
+    smape = _check_queries(run, inputs[:SMAPE_PAIRS * len(REGIMES)], scored, rwr_scores)
     total_edges = sum(book["edges"] for book in per_regime.values())
     total_s = sum(book["seconds"] for book in per_regime.values())
     for regime, book in per_regime.items():
         run.note(f"{regime:<15} {book['calls']} summaries, "
-                 f"{book['edges'] / book['seconds']:.0f} edges/s")
-    run.note(f"latency         {len(pair_latencies)} sparse+dense pairs")
+                 f"{book['edges'] / book['seconds']:.0f} edges/s, "
+                 f"{len(book['latency'])} queries, p50 "
+                 f"{1000.0 * statistics.median(book['latency']):.2f} ms")
+    latency = [np.asarray(book["latency"]) * 1000.0 for book in per_regime.values()]
     run.metrics.update(
         setup_s=setup_s,
-        peak_rss_mb=peak_rss_mb(),
+        peak_rss_mb=rss,
         rwr_smape=smape,
         throughput=total_edges / total_s,
-        latency_p50_ms=1000.0 * statistics.median(pair_latencies),
-        latency_p90_ms=1000.0 * percentile(pair_latencies, 90),
+        # Each regime's percentile, averaged: pooled, the two regimes'
+        # query times form two clusters and the median falls between them.
+        latency_p50_ms=statistics.mean(percentile(values, 50) for values in latency),
+        latency_p90_ms=statistics.mean(percentile(values, 90) for values in latency),
     )
     if tracer:
         _layer_metrics(run, tracer, per_regime, generate_s, total_s)
 
 
-def _check_summary(run: Run, regime: str, index: int, graph, result) -> None:
-    summary = result.summary
-    label = f"{regime}#{index}"
+def _query(run: Run, rwr_scores, summary, nodes, latency, keep) -> float:
+    """Time one RWR query per node on *summary*; return the seconds spent."""
+    spent = 0.0
+    for node in nodes.tolist():
+        run.attempt("rwr queries")
+        started = time.perf_counter()
+        try:
+            answer = rwr_scores(summary, node)
+        except Exception as error:  # counted and reported, run continues
+            run.fail("rwr queries")
+            run.check(False, f"rwr_scores({node}) on a summary raised {error!r}")
+            continue
+        elapsed = time.perf_counter() - started
+        spent += elapsed
+        latency.append(elapsed)
+        run.check(answer.min() >= -1e-12 and abs(answer.sum() - 1.0) <= 1e-9,
+                  f"RWR({node}) on a summary is not a distribution")
+        if keep is not None and len(keep) < SMAPE_TARGETS:
+            keep[node] = answer
+    return spent
+
+
+def _check_summary(run: Run, label: str, graph, summary):
+    """Structural checks; returns what the Eq. 3 check needs."""
     run.check(not summary.is_weighted, f"{label}: PeGaSus summary is weighted")
-    supernode_of = np.asarray(summary.supernode_of)
+    supernode_of = np.array(summary.supernode_of)
     live = np.unique(supernode_of)
     run.check(supernode_of.shape == (graph.num_nodes,), f"{label}: partition has wrong length")
     run.check(np.array_equal(live, np.sort(np.asarray(summary.supernodes()))),
@@ -189,31 +229,40 @@ def _check_summary(run: Run, regime: str, index: int, graph, result) -> None:
     lo, hi, _ = summary.superedge_arrays()
     run.check(bool(np.isin(lo, live).all() and np.isin(hi, live).all()),
               f"{label}: superedge on a dead supernode")
-    size = refkit.summary_size_bits(graph.num_nodes, supernode_of, lo.size)
-    budget = RATIO * refkit.graph_size_bits(graph.num_nodes, graph.num_edges)
-    run.check(size <= budget * (1 + 1e-12), f"{label}: Eq. 3 size {size:.0f} over budget {budget:.0f}")
-    run.check(abs(size - summary.size_in_bits()) <= 1e-6 * size,
-              f"{label}: reported size {summary.size_in_bits():.0f} != Eq. 3 {size:.0f}")
+    return label, graph.num_nodes, graph.num_edges, supernode_of, lo.size, summary.size_in_bits()
 
 
-def _check_queries(run: Run, inputs, last, rwr_scores) -> float:
-    """Check summary-side RWR answers; return their mean SMAPE vs exact RWR."""
+def _check_sizes(run: Run, sizes) -> None:
+    """Every summary meets its budget, with its size recomputed by Eq. 3."""
+    import refkit
+
+    for label, num_nodes, num_edges, supernode_of, superedges, reported in sizes:
+        size = refkit.summary_size_bits(num_nodes, supernode_of, superedges)
+        budget = RATIO * refkit.graph_size_bits(num_nodes, num_edges)
+        run.check(size <= budget * (1 + 1e-12),
+                  f"{label}: Eq. 3 size {size:.0f} over budget {budget:.0f}")
+        run.check(abs(size - reported) <= 1e-6 * size,
+                  f"{label}: reported size {reported:.0f} != Eq. 3 {size:.0f}")
+
+
+def _check_queries(run: Run, inputs, scored, rwr_scores) -> float:
+    """Check the kept RWR answers against the kit; return their mean SMAPE vs exact RWR."""
+    import refkit
+
     defaults = inspect.signature(rwr_scores).parameters
     tolerance = refkit.rwr_tolerance(defaults["max_iterations"].default,
                                      defaults["tolerance"].default,
                                      restart=defaults["restart"].default)
     scores = []
-    for regime, index, graph, targets, _ in inputs:
-        sample = targets[:SMAPE_TARGETS]
+    for regime, index, graph, _, _ in inputs:
+        summary, answers = scored[(regime, index)]
+        sample = np.fromiter(answers, dtype=np.int64)
         exact = refkit.rwr_exact(refkit.graph_adjacency(graph.num_nodes, graph.edge_array()),
                                  sample, method="iterate")
-        summary = last[(regime, index)].summary
         lo, hi, weights = summary.superedge_arrays()
         on_summary = refkit.rwr_exact(
             refkit.summary_adjacency(summary.supernode_of, lo, hi, weights), sample)
-        for column, node in enumerate(sample.tolist()):
-            run.attempt("rwr queries")
-            answer = rwr_scores(summary, node)
+        for column, (node, answer) in enumerate(answers.items()):
             gap = float(np.abs(answer - on_summary[:, column]).sum())
             if not run.check(gap <= tolerance,
                              f"{regime}#{index} RWR({node}) off by {gap:.3g} > {tolerance:.3g}"):

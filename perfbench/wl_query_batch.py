@@ -6,20 +6,26 @@ for every seed, as the paper's datasets are fixed graphs); the seed
 draws the query nodes.  The measured loop sends
 batches of 32 distinct query nodes to ``DistributedCluster.answer_batch``,
 one batch each of RWR, PHP and HOP per round, until ``--seconds`` of
-answering have passed.  Every answer is checked against the reference
-kit on its machine's reconstructed graph; ``rwr_smape`` scores a fixed
-sample of cluster RWR answers against converged RWR on the input graph.
+answering have passed.  A stopwatch around ``Machine.answer`` (the one
+call per query inside ``answer_batch``) gives each answer's latency; the
+latency percentiles are each type's, averaged over the three types.
+
+Every answer is checked against the reference kit on its machine's
+reconstructed graph; ``rwr_smape`` scores a fixed sample of cluster RWR
+answers against converged RWR on the input graph.  The checks run in a
+forked child process, so the kit's imports and factorizations stay out
+of this process's peak RSS.
 """
 
 from __future__ import annotations
 
 import inspect
+import multiprocessing
 import statistics
 import time
 
 import numpy as np
 
-import refkit
 from calltrace import CallTracer
 from common import SETUP_REPEATS, Run, peak_rss_mb, percentile, timed_setups
 
@@ -67,7 +73,7 @@ def _install_query_tracing(tracer: CallTracer):
 def run(run: Run) -> None:
     from repro import load_dataset
     from repro.distributed import build_summary_cluster
-    from repro.queries import php_scores, rwr_scores
+    from repro.distributed.cluster import Machine
 
     tracer = CallTracer() if run.trace else None
     state = _install_query_tracing(tracer) if tracer else None
@@ -85,65 +91,139 @@ def run(run: Run) -> None:
                         ("graph.generate", "partitioning.louvain", "distributed.cluster_build")}
 
     answer = tracer.wrap("distributed.answer_batch", cluster.answer_batch) if tracer else cluster.answer_batch
-    checker = _Checker(run, cluster, rwr_scores, php_scores)
+    checker = _CheckerProcess(cluster, graph)
+    latencies = {kind: [] for kind in TYPES}  # seconds per answer, by type
+    original_answer = Machine.answer
+
+    def timed_answer(machine, node, query_type):
+        started = time.perf_counter()
+        result = original_answer(machine, node, query_type)
+        latencies[query_type].append(time.perf_counter() - started)
+        return result
+
     rng = np.random.default_rng([run.seed, 1])
     seconds = {kind: 0.0 for kind in TYPES}
     counts = {kind: 0 for kind in TYPES}
-    batch_seconds = []
-    scored = []  # (nodes, answers) of the first RWR batches
     measured = 0.0
-    while measured < run.seconds:
-        for kind in TYPES:
-            nodes = rng.choice(graph.num_nodes, size=BATCH, replace=False)
-            run.attempt(f"{kind} queries", BATCH)
-            started = time.perf_counter()
-            try:
-                answers = answer(nodes, kind)
-            except Exception as error:  # counted and reported, run continues
-                run.fail(f"{kind} queries", BATCH)
-                run.check(False, f"answer_batch({kind}) raised {error!r}")
-                continue
-            elapsed = time.perf_counter() - started
-            seconds[kind] += elapsed
-            counts[kind] += BATCH
-            batch_seconds.append(elapsed)
-            measured += elapsed
-            checker.check(kind, nodes, answers)
-            if kind == "rwr" and len(scored) < SMAPE_BATCHES:
-                scored.append((nodes, answers))
-    if tracer:
-        tracer.restore()
+    Machine.answer = timed_answer
+    try:
+        while measured < run.seconds:
+            for kind in TYPES:
+                nodes = rng.choice(graph.num_nodes, size=BATCH, replace=False)
+                run.attempt(f"{kind} queries", BATCH)
+                started = time.perf_counter()
+                try:
+                    answers = answer(nodes, kind)
+                except Exception as error:  # counted and reported, run continues
+                    run.fail(f"{kind} queries", BATCH)
+                    run.check(False, f"answer_batch({kind}) raised {error!r}")
+                    continue
+                elapsed = time.perf_counter() - started
+                seconds[kind] += elapsed
+                counts[kind] += BATCH
+                measured += elapsed
+                checker.submit(kind, nodes, answers)
+    finally:
+        Machine.answer = original_answer
+        if tracer:
+            tracer.restore()
+    # Read before the checks: the child's memory is its own, and nothing
+    # of the kit has been imported here.
+    rss = peak_rss_mb()
 
-    while len(scored) < SMAPE_BATCHES:  # a run too short to reach them
+    rwr_batches = counts["rwr"] // BATCH
+    for _ in range(SMAPE_BATCHES - rwr_batches):  # a run too short to reach them
         nodes = rng.choice(graph.num_nodes, size=BATCH, replace=False)
-        scored.append((nodes, cluster.answer_batch(nodes, "rwr")))
-    sample = np.concatenate([nodes for nodes, _ in scored])
-    served = [answers[int(node)] for nodes, answers in scored for node in nodes]
-    exact = refkit.Reference(refkit.graph_adjacency(graph.num_nodes, graph.edge_array())).rwr(sample)
-    smape = float(np.mean([refkit.smape(exact[:, i], answer) for i, answer in enumerate(served)]))
+        run.attempt("rwr queries", BATCH)
+        checker.submit("rwr", nodes, cluster.answer_batch(nodes, "rwr"))
+    problems, smape = checker.finish()
+    for message in problems:
+        run.check(False, message)
 
     answered = sum(counts.values())
     for kind in TYPES:
         rate = counts[kind] / seconds[kind] if seconds[kind] else 0.0
         run.note(f"{kind + ' qps':<15} {rate:.1f}")
-    latencies = np.repeat(np.asarray(batch_seconds) * 1000.0, BATCH)
-    run.note(f"latency         {latencies.size} queries in {len(batch_seconds)} batches")
+    run.note(f"latency         {sum(map(len, latencies.values()))} answers timed one by one")
+    # Each type's percentile, averaged: the types' answer times form
+    # clusters, and a pooled percentile falls where two of them overlap,
+    # which moves with how much the machine's speed varied in the run.
+    by_type = [1000.0 * np.asarray(values) for values in latencies.values()]
     run.metrics.update(
         setup_s=setup_s,
-        peak_rss_mb=peak_rss_mb(),
+        peak_rss_mb=rss,
         rwr_smape=smape,
         throughput=answered / measured,
-        latency_p50_ms=statistics.median(latencies),
-        latency_p90_ms=percentile(latencies, 90),
+        latency_p50_ms=statistics.mean(percentile(values, 50) for values in by_type),
+        latency_p90_ms=statistics.mean(percentile(values, 90) for values in by_type),
     )
     if tracer:
         _layer_metrics(run, tracer, state, setup_layers, measured)
+
+
+class _CheckerProcess:
+    """Runs :class:`_Checker` in a forked child fed batch by batch.
+
+    The child only stores what it is sent until :meth:`finish`, so it
+    takes no CPU from the measured loop; then it checks every answer,
+    scores the first ``SMAPE_BATCHES`` RWR batches and sends back its
+    problems and the SMAPE.
+    """
+
+    def __init__(self, cluster, graph):
+        context = multiprocessing.get_context("fork")
+        self.connection, child = context.Pipe()
+        self.process = context.Process(target=_check_in_child, args=(child, cluster, graph),
+                                       daemon=True)
+        self.process.start()
+        child.close()
+
+    def submit(self, kind: str, nodes: np.ndarray, answers) -> None:
+        self.connection.send((kind, nodes, answers))
+
+    def finish(self):
+        try:
+            self.connection.send(None)
+            return self.connection.recv()
+        finally:
+            self.connection.close()
+            self.process.join(timeout=60)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join()
+
+
+def _check_in_child(connection, cluster, graph) -> None:
+    import refkit
+    from repro.queries import php_scores, rwr_scores
+
+    received = []
+    while True:
+        item = connection.recv()
+        if item is None:
+            break
+        received.append(item)
+    local = Run("query-batch", 0, 0.0, False)
+    checker = _Checker(local, cluster, rwr_scores, php_scores)
+    scored = []
+    for kind, nodes, answers in received:
+        checker.check(kind, nodes, answers)
+        if kind == "rwr" and len(scored) < SMAPE_BATCHES:
+            scored.append((nodes, answers))
+    sample = np.concatenate([nodes for nodes, _ in scored])
+    served = [answers[int(node)] for nodes, answers in scored for node in nodes]
+    exact = refkit.Reference(refkit.graph_adjacency(graph.num_nodes, graph.edge_array())).rwr(sample)
+    smape = float(np.mean([refkit.smape(exact[:, i], answer) for i, answer in enumerate(served)]))
+    connection.send((local.problems, smape))
+    connection.close()
 
 
 class _Checker:
     """Checks every answer against the kit on its machine's reconstructed graph."""
 
     def __init__(self, run: Run, cluster, rwr_scores, php_scores):
+        import refkit
+
         self.run = run
         self.cluster = cluster
         self.references = {}
@@ -155,7 +235,9 @@ class _Checker:
             php["max_iterations"].default, php["tolerance"].default,
             continuation=php["continuation"].default)
 
-    def _reference(self, machine) -> refkit.Reference:
+    def _reference(self, machine):
+        import refkit
+
         if machine.machine_id not in self.references:
             summary = machine.source
             lo, hi, weights = summary.superedge_arrays()

@@ -3,9 +3,14 @@
 Set-up generates the ``lastfm_asia`` stand-in, holds out 5 % of its
 edges as an insert stream, builds a 2-machine ``StreamingSummarizer`` on
 the rest and serves its cluster through ``NetServer`` → ``TenantHost``
-(2 lanes), with the summarizer attached to the tenant's server.  Two
-TCP connections then carry a Poisson stream of RWR/PHP/HOP queries at a
-fixed rate while small insert batches arrive at a fixed cadence and
+(2 lanes), with the summarizer attached to the tenant's server.
+
+The run has two phases over the same two TCP connections.  First, for
+``CLOSED_SHARE`` of ``--seconds``, a closed loop: each connection sends
+its next RWR/PHP/HOP query as soon as the previous reply arrives, which
+measures the stack's capacity (``throughput``).  Then, for the rest, an
+open loop: a Poisson stream of queries at a fixed rate, about half that
+capacity, while small insert batches arrive at a fixed cadence and
 ``StreamingSummarizer.ingest(refresh="none")`` absorbs them on the event
 loop.  Latency runs from each query's scheduled send time to its reply.
 The graph, the held-out edges and the cluster are the same for every
@@ -26,7 +31,6 @@ import time
 
 import numpy as np
 
-import refkit
 from calltrace import CallTracer
 from common import SETUP_REPEATS, Run, peak_rss_mb, percentile
 
@@ -36,9 +40,11 @@ LANES = 2
 CONNECTIONS = 2
 RATIO = 0.5
 HOLDOUT = 0.05
-#: Poisson query rate: about half of the closed-loop capacity measured by
-#: ``perfbench/capacity.py`` (see README).
-RATE_QPS = 80.0
+#: Share of ``--seconds`` spent in the closed-loop (capacity) phase.
+CLOSED_SHARE = 0.2
+#: Poisson query rate of the open-loop phase: about half of the
+#: closed-loop capacity (see README).
+RATE_QPS = 64.0
 INSERT_PERIOD_S = 0.5
 #: A run whose load generator sent its p99 query later than this after
 #: its scheduled time measured the generator, not the server: it fails.
@@ -132,29 +138,37 @@ async def _run(run: Run) -> None:
     setup_s = statistics.median(durations)
     if tracer:
         tracer.restore()
-        warmup_spans = len(obs.tracer.spans())
 
     try:
-        load = await _drive(run, stack)
+        closed = await _closed_loop(run, stack, CLOSED_SHARE * run.seconds)
+        if tracer:  # the layer metrics cover the open-loop phase only
+            open_from = len(obs.tracer.spans())
+            before = stack.host.stats(TENANT).as_dict()  # the ledger is live
+        load = await _drive(run, stack, (1.0 - CLOSED_SHARE) * run.seconds)
         if tracer:
-            spans = obs.tracer.spans()[warmup_spans:]  # the open-loop phase's
-        post = await _post_stream(run, stack, load)
+            spans = obs.tracer.spans()[open_from:]
+            after = stack.host.stats(TENANT).as_dict()
+            stats = {key: after[key] - before[key] for key in after}
+        # Read before the post-stream checks, which import the kit and
+        # factor matrices in this process.
         rss = peak_rss_mb(stack.lane_pids())
-        stats = stack.host.stats(TENANT)
+        post = await _post_stream(run, stack, load)
     finally:
         await stack.close()
 
-    _check_served(run, load)
+    _check_served(run, closed["served"] + list(zip(load["queries"], load["answers"])))
     lag = percentile(load["lag_ms"], 99)
     run.check(lag <= LAG_LIMIT_MS, f"load generator p99 lag {lag:.1f} ms > {LAG_LIMIT_MS:g} ms")
     latencies = load["latency_ms"]
+    run.note(f"capacity        {len(closed['served'])} queries in {closed['span_s']:.2f} s, "
+             f"closed loop over {CONNECTIONS} connections")
     run.note(f"latency         {len(latencies)} queries at {RATE_QPS:g}/s over "
              f"{CONNECTIONS} connections, {len(load['ingest_ms'])} ingests")
     run.metrics.update(
         setup_s=setup_s,
         peak_rss_mb=rss,
         rwr_smape=post,
-        throughput=len(latencies) / load["span_s"],
+        throughput=len(closed["served"]) / closed["span_s"],
         latency_p50_ms=statistics.median(latencies),
         latency_p90_ms=percentile(latencies, 90),
     )
@@ -164,15 +178,40 @@ async def _run(run: Run) -> None:
         _layer_metrics(run, spans, stats, load, setup_layers, statistics.median(start_times))
 
 
-async def _drive(run: Run, stack: Stack):
+async def _closed_loop(run: Run, stack: Stack, seconds: float):
+    """The capacity phase: each connection sends on the previous reply."""
+    rng = np.random.default_rng([run.seed, 5])
+    served = []  # ((node, kind), answer)
+    deadline = time.perf_counter() + seconds
+
+    async def client(index: int) -> None:
+        sent = 0
+        while time.perf_counter() < deadline:
+            node, kind = int(rng.integers(stack.graph.num_nodes)), MIX[sent % len(MIX)]
+            sent += 1
+            run.attempt("served requests")
+            try:
+                answer = await stack.clients[index].query(TENANT, node, kind)
+            except Exception as error:  # counted and reported, the loop goes on
+                run.fail("served requests")
+                run.check(False, f"served {kind}({node}) raised {error!r}")
+                continue
+            served.append(((node, kind), answer))
+
+    began = time.perf_counter()
+    await asyncio.gather(*(client(i) for i in range(CONNECTIONS)))
+    return {"served": served, "span_s": time.perf_counter() - began}
+
+
+async def _drive(run: Run, stack: Stack, seconds: float):
     """The open-loop phase: Poisson queries plus timed insert batches."""
     # A Poisson process given its count: RATE_QPS * seconds arrivals at
     # sorted uniform times, so every run offers the same number of queries.
     rng = np.random.default_rng([run.seed, 3])
-    count = int(round(RATE_QPS * run.seconds))
-    due = np.sort(rng.uniform(0.0, run.seconds, size=count))
+    count = int(round(RATE_QPS * seconds))
+    due = np.sort(rng.uniform(0.0, seconds, size=count))
     nodes = rng.integers(0, stack.graph.num_nodes, size=count)
-    inserts = max(1, int(run.seconds / INSERT_PERIOD_S))
+    inserts = max(1, int(seconds / INSERT_PERIOD_S))
     batches = np.array_split(stack.stream, inserts)
     load = {
         "queries": [(int(n), MIX[i % len(MIX)]) for i, n in enumerate(nodes)],
@@ -184,7 +223,6 @@ async def _drive(run: Run, stack: Stack):
         "novel": 0,
     }
     t0 = time.perf_counter() + 0.05
-    last_reply = [t0]
 
     async def fire(index: int, scheduled: float) -> None:
         node, kind = load["queries"][index]
@@ -198,7 +236,6 @@ async def _drive(run: Run, stack: Stack):
             run.check(False, f"served {kind}({node}) raised {error!r}")
             return
         replied = time.perf_counter()
-        last_reply[0] = max(last_reply[0], replied)
         load["answers"][index] = answer
         load["latency_ms"].append(1000.0 * (replied - scheduled))
         load["sent_latency_ms"].append(1000.0 * (replied - sent))
@@ -230,13 +267,12 @@ async def _drive(run: Run, stack: Stack):
             load["novel"] += report.novel
 
     await asyncio.gather(send_queries(), send_inserts())
-    load["span_s"] = last_reply[0] - t0 - due[0] if due.size else float("nan")
     return load
 
 
-def _check_served(run: Run, load) -> None:
+def _check_served(run: Run, served) -> None:
     """Every served answer has the properties of its method."""
-    for (node, kind), answer in zip(load["queries"], load["answers"]):
+    for (node, kind), answer in served:
         if answer is None:
             continue
         if kind == "rwr":
@@ -251,6 +287,7 @@ def _check_served(run: Run, load) -> None:
 
 async def _post_stream(run: Run, stack: Stack, load) -> float:
     """Check a post-stream sample against the kit; return the RWR SMAPE."""
+    import refkit
     from repro.queries import php_scores, rwr_scores
 
     rwr = inspect.signature(rwr_scores).parameters
@@ -327,14 +364,14 @@ def _layer_metrics(run: Run, spans, stats, load, setup_layers, start_s: float) -
         "distributed.cluster_build_s": setup_layers["distributed.cluster_build"],
         "serving.start_s": start_s,
         "serving.queue_wait_ms": median_ms(by_name.get("queue", [])),
-        "serving.batch_fill": (stats.answered + stats.failed) / max(stats.batches, 1),
+        "serving.batch_fill": (stats["answered"] + stats["failed"]) / max(stats["batches"], 1),
         "serving.compute_ms": median_ms([duration for _, duration in compute]),
         # Means subtract request by request (medians would not): the
         # client's wait from its actual send, less the server's total.
         "serving.wire_ms": (statistics.mean(load["sent_latency_ms"]) - 1000.0 * served / len(totals)
                             if totals else 0.0),
-        "serving.swaps": stats.swaps,
-        "parallel.redispatches": stats.redispatches,
+        "serving.swaps": stats["swaps"],
+        "parallel.redispatches": stats["redispatches"],
         "streaming.ingest_ms": statistics.median(load["ingest_ms"]),
         "streaming.edges_absorbed": load["novel"],
         "loadgen.lag_p99_ms": percentile(load["lag_ms"], 99),
