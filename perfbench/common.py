@@ -26,7 +26,6 @@ END_TO_END: Tuple[Tuple[str, str], ...] = (
     ("rwr_smape", "ratio"),
     ("throughput", "1/s"),
     ("latency_p50_ms", "ms"),
-    ("latency_p90_ms", "ms"),
 )
 
 _CORE = (

@@ -10,13 +10,24 @@ Workloads are ``build``, ``query-batch`` and ``serve-stream`` (see
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the exit code is non-zero when
 any check failed.
+
+The command supervises: it runs the workload in a child process and,
+once that ends, waits for every process the workload left behind (the
+multiprocessing resource tracker, lane workers), killing what outlives a
+grace period.  As the child subreaper it inherits those orphans, so it
+can wait for each one; it gives up and kills the workload after
+``--seconds`` plus ``WATCHDOG_S``.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
+import signal
+import subprocess
 import sys
+import time
 
 # One thread per numeric pool: the box has two CPUs and the serving
 # workload runs two lane processes beside the event loop.
@@ -27,6 +38,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("build", "query-batch", "serve-stream")
+#: Set in the workload process's environment; its absence marks the supervisor.
+CHILD_ENV = "PERFBENCH_WORKLOAD_PROCESS"
+#: Seconds a workload may run beyond ``--seconds`` (set-up and checks).
+WATCHDOG_S = 150.0
+#: Seconds left-behind processes get to end on their own before a kill.
+GRACE_S = 10.0
+_PR_SET_CHILD_SUBREAPER = 36
 
 
 def main(argv=None) -> int:
@@ -38,6 +56,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
+    if os.environ.get(CHILD_ENV) != "1":
+        return supervise(sys.argv[1:] if argv is None else list(argv), args.seconds)
 
     source = os.path.join(ROOT, "src")
     sys.path[:0] = [HERE, source]
@@ -63,6 +83,71 @@ def main(argv=None) -> int:
         import wl_serve_stream as workload
     workload.run(run)
     return run.emit()
+
+
+def supervise(argv, seconds: float) -> int:
+    """Run the workload in a child; return its exit code once every
+    process it started, directly or not, has ended."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    if libc.prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        print("error: cannot become the child subreaper, so processes the workload "
+              "leaves behind could not be waited for", file=sys.stderr)
+        return 2
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    grace = 0.0
+    child = subprocess.Popen([sys.executable, os.path.abspath(__file__), *argv],
+                             env={**os.environ, CHILD_ENV: "1"})
+    try:
+        code = child.wait(timeout=seconds + WATCHDOG_S)
+        grace = GRACE_S
+    except subprocess.TimeoutExpired:
+        print(f"error: the workload ran over {seconds + WATCHDOG_S:g} s and was killed",
+              file=sys.stderr)
+        code = 3
+    finally:
+        left = reap_all(grace)
+    if left:
+        print(f"note: {left} process(es) outlived the workload by {grace:g} s and were killed",
+              file=sys.stderr)
+    return code
+
+
+def reap_all(grace: float) -> int:
+    """Wait for every child (orphans re-parented here included), killing
+    those still alive after *grace* seconds; return how many were killed."""
+    deadline = time.monotonic() + grace
+    killed = set()
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no children left
+            return len(killed)
+        if pid:
+            continue
+        if time.monotonic() >= deadline:
+            for child in _children() - killed:
+                try:
+                    os.kill(child, signal.SIGKILL)
+                except ProcessLookupError:
+                    continue
+                killed.add(child)
+        time.sleep(0.01)
+
+
+def _children() -> set:
+    """Pids whose parent is this process, read from /proc."""
+    me, found = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == me:
+            found.add(int(entry))
+    return found
 
 
 if __name__ == "__main__":

@@ -190,7 +190,6 @@ def run(run: Run) -> None:
         # Each regime's percentile, averaged: pooled, the two regimes'
         # query times form two clusters and the median falls between them.
         latency_p50_ms=statistics.mean(percentile(values, 50) for values in latency),
-        latency_p90_ms=statistics.mean(percentile(values, 90) for values in latency),
     )
     if tracer:
         _layer_metrics(run, tracer, per_regime, generate_s, total_s)

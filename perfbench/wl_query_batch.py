@@ -155,7 +155,6 @@ def run(run: Run) -> None:
         rwr_smape=smape,
         throughput=answered / measured,
         latency_p50_ms=statistics.mean(percentile(values, 50) for values in by_type),
-        latency_p90_ms=statistics.mean(percentile(values, 90) for values in by_type),
     )
     if tracer:
         _layer_metrics(run, tracer, state, setup_layers, measured)
